@@ -15,11 +15,10 @@
 //! integer counters and only recomputes the published [`QosFeedback`] when
 //! a window of `window_frames` frames closes, incrementing
 //! [`QosFeedback::seq`]. Between window boundaries the feedback bits never
-//! change, so the scheduler's identical-round cache keeps working for
-//! feedback-consuming policies, and a policy adapting once per `seq` step
-//! behaves identically whether intermediate rounds were solved or replayed
-//! (warm/cold bit-identity). Everything is integer accumulation and one
-//! `u64 → f64` division per window — no RNG, no order sensitivity.
+//! change, so a policy adapting once per `seq` step sees one signal per
+//! window, however many rounds it schedules in between. Everything is
+//! integer accumulation and one `u64 → f64` division per window — no RNG,
+//! no order sensitivity.
 
 /// Observed QoS of one link direction over the last closed window.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]

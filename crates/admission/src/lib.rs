@@ -42,12 +42,10 @@ pub use measurement::{
 pub use objective::{delay_penalty, Objective};
 pub use policy::{
     AdmissionPolicy, BoxedPolicy, EqualShare, Fcfs, GracefulDegradation, JabaSd, MeasuredRegion,
-    PolicyContext, PolicyDecision, PolicyScratch, ThresholdReservation, WeightedFairShare,
+    PolicyContext, PolicyScratch, ThresholdReservation, WeightedFairShare,
 };
 pub use registry::{PolicyEntry, PolicyParamSpec, PolicyRegistry, ResolvedParams};
-pub use scheduler::{
-    Grant, Policy, RequestState, SchedStats, ScheduleOutcome, Scheduler, SchedulerConfig, SolveMode,
-};
+pub use scheduler::{Grant, RequestState, SchedStats, ScheduleOutcome, Scheduler, SchedulerConfig};
 pub use temporal::{
     spatial_only_value, temporal_exhaustive, temporal_greedy, Placement, TemporalConfig,
     TemporalRequest, TemporalSchedule,

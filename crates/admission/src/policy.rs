@@ -9,22 +9,21 @@
 //! ([`crate::Scheduler`]) computes everything a policy could want — the
 //! admissible [`Region`], per-request δβ̄, the eq.-24 grant bounds, waiting
 //! times and priorities — packages it into a [`PolicyContext`], and asks an
-//! [`AdmissionPolicy`] object for a [`PolicyDecision`]. Policies never
-//! touch the measurement sub-layer directly, so a new policy is a single
-//! struct plus (optionally) a [`crate::registry::PolicyRegistry`] entry
-//! that makes it addressable from campaign spec files and the `wcdma`
-//! CLI by name.
+//! [`AdmissionPolicy`] object to write its decision into a [`PolicyScratch`].
+//! Policies never touch the measurement sub-layer directly, so a new policy
+//! is a single struct plus (optionally) a
+//! [`crate::registry::PolicyRegistry`] entry that makes it addressable from
+//! campaign spec files and the `wcdma` CLI by name.
 //!
 //! # Writing your own policy
 //!
-//! Implement [`AdmissionPolicy`] for a struct. The contract: return one
-//! grant per request (`m.len() == ctx.requests.len()`, `0` = reject), stay
-//! inside `ctx.region` and within the per-request `ctx.bounds`.
+//! Implement [`AdmissionPolicy`] for a struct. The contract: write one
+//! grant per request into `out.m` (`out.m.len() == ctx.requests.len()`,
+//! `0` = reject), stay inside `ctx.region` and within the per-request
+//! `ctx.bounds`.
 //!
 //! ```
-//! use wcdma_admission::policy::{
-//!     rate_value, AdmissionPolicy, BoxedPolicy, PolicyContext, PolicyDecision,
-//! };
+//! use wcdma_admission::policy::{AdmissionPolicy, BoxedPolicy, PolicyContext, PolicyScratch};
 //! use wcdma_admission::{Scheduler, SchedulerConfig};
 //!
 //! /// Grants every admissible request exactly one spreading unit.
@@ -36,7 +35,7 @@
 //!         "one-each"
 //!     }
 //!
-//!     fn decide(&mut self, ctx: &PolicyContext<'_>) -> PolicyDecision {
+//!     fn decide(&mut self, ctx: &PolicyContext<'_>, out: &mut PolicyScratch) {
 //!         let mut m = vec![0u32; ctx.requests.len()];
 //!         for j in 0..m.len() {
 //!             let (lo, hi) = ctx.bounds[j];
@@ -48,12 +47,8 @@
 //!                 m[j] = 0; // would overload a cell — roll back
 //!             }
 //!         }
-//!         let objective_value = rate_value(&m, ctx.delta_beta);
-//!         PolicyDecision {
-//!             m,
-//!             objective_value,
-//!             optimal: true,
-//!         }
+//!         // Valued at the raw rate Σ m_j·δβ̄_j, reported optimal.
+//!         out.set_rate_decision(m, ctx.delta_beta);
 //!     }
 //!
 //!     fn clone_box(&self) -> BoxedPolicy {
@@ -70,13 +65,13 @@
 //! [`crate::registry::PolicyEntry`] for it (see
 //! [`crate::registry::PolicyRegistry::register`]).
 
-use wcdma_ilp::{branch_and_bound, greedy, BbWorkspace, Problem};
+use wcdma_ilp::{BbWorkspace, Problem};
 use wcdma_mac::LinkDir;
 
 use crate::feedback::QosFeedback;
-use crate::measurement::{region_problem, Region};
+use crate::measurement::Region;
 use crate::objective::Objective;
-use crate::scheduler::{Policy, RequestState, SchedulerConfig};
+use crate::scheduler::{RequestState, SchedulerConfig};
 
 /// A boxed, heap-allocated policy object — the form the scheduler, the
 /// simulation configuration and the registry trade in.
@@ -108,14 +103,18 @@ pub struct PolicyContext<'a> {
     /// until the first window closes. Model-trusting policies ignore it;
     /// measurement-based policies (see [`MeasuredRegion`],
     /// [`GracefulDegradation`]) must also return `true` from
-    /// [`AdmissionPolicy::uses_feedback`] so the scheduler's
-    /// identical-round cache stays sound.
+    /// [`AdmissionPolicy::uses_feedback`] so the simulation runs the QoS
+    /// monitor that publishes it.
     pub feedback: &'a QosFeedback,
 }
 
-/// What a policy decided for one scheduling round.
-#[derive(Debug, Clone, PartialEq)]
-pub struct PolicyDecision {
+/// The decision of one scheduling round, written by
+/// [`AdmissionPolicy::decide`] into buffers the scheduler owns (one per
+/// link direction): the grant vector and its valuation, plus solver state
+/// ([`Problem`] shell and branch-and-bound workspace) that solver-backed
+/// policies reuse so a steady-state round allocates nothing.
+#[derive(Debug, Clone, Default)]
+pub struct PolicyScratch {
     /// Grant vector aligned with the request order (`0` = reject). Must
     /// satisfy the region and the per-request bounds.
     pub m: Vec<u32>,
@@ -125,21 +124,6 @@ pub struct PolicyDecision {
     /// Whether the decision is provably optimal for the policy's own
     /// objective (heuristics report `true`; the exact solver reports
     /// `false` when its node budget ran out).
-    pub optimal: bool,
-}
-
-/// Reusable decision buffers owned by the scheduler, one per link
-/// direction: the grant vector the policy writes into, plus solver state
-/// ([`Problem`] shell and branch-and-bound workspace) that
-/// [`AdmissionPolicy::decide_into`] implementations may reuse so a warm
-/// scheduling round allocates nothing.
-#[derive(Debug, Clone, Default)]
-pub struct PolicyScratch {
-    /// Grant vector output aligned with the request order (`0` = reject).
-    pub m: Vec<u32>,
-    /// The objective value the policy assigns to its own decision.
-    pub objective_value: f64,
-    /// Whether the decision is provably optimal for the policy's objective.
     pub optimal: bool,
     /// Reusable ILP shell for solver-backed policies.
     problem: Problem,
@@ -152,6 +136,14 @@ impl PolicyScratch {
     /// (feeds the scheduler's `SchedStats::bb_nodes`).
     pub fn bb_total_nodes(&self) -> u64 {
         self.bb.total_nodes()
+    }
+
+    /// Records a heuristic decision: the grant vector `m`, valued at its raw
+    /// rate Σ m_j·δβ̄_j ([`rate_value`]) and reported optimal.
+    pub fn set_rate_decision(&mut self, m: Vec<u32>, delta_beta: &[f64]) {
+        self.objective_value = rate_value(&m, delta_beta);
+        self.m = m;
+        self.optimal = true;
     }
 }
 
@@ -166,10 +158,7 @@ impl PolicyScratch {
 /// cells mid-simulation.
 ///
 /// `decide` takes `&mut self` so adaptive policies (e.g. the AIMD
-/// [`MeasuredRegion`]) can carry state across rounds; stateful policies
-/// must evolve that state only on [`QosFeedback::seq`] steps (not per
-/// call) so cached-round replay and [`crate::SolveMode::Cold`] stay
-/// bit-identical to the warm path.
+/// [`MeasuredRegion`]) can carry state across rounds.
 pub trait AdmissionPolicy: std::fmt::Debug + Send + Sync {
     /// Short kind name, e.g. `"jaba-sd"` or `"fcfs"` (stable across
     /// parameterisations; registry names add the parameter flavour).
@@ -180,37 +169,15 @@ pub trait AdmissionPolicy: std::fmt::Debug + Send + Sync {
         self.name().to_string()
     }
 
-    /// Decides the grants for one scheduling round.
-    fn decide(&mut self, ctx: &PolicyContext<'_>) -> PolicyDecision;
+    /// Decides the grants for one scheduling round, writing the grant
+    /// vector, its objective value and the optimality flag into `out`.
+    /// Solver-backed policies also reuse `out`'s problem shell and
+    /// workspace, so a steady-state round allocates nothing.
+    fn decide(&mut self, ctx: &PolicyContext<'_>, out: &mut PolicyScratch);
 
-    /// Decides the grants for one scheduling round into caller-owned
-    /// buffers. The default wraps [`decide`](Self::decide); solver-backed
-    /// policies override it to reuse `out`'s problem shell and workspace so
-    /// a warm round allocates nothing. Must produce the same decision as
-    /// `decide` for the same context.
-    fn decide_into(&mut self, ctx: &PolicyContext<'_>, out: &mut PolicyScratch) {
-        let d = self.decide(ctx);
-        out.m.clear();
-        out.m.extend_from_slice(&d.m);
-        out.objective_value = d.objective_value;
-        out.optimal = d.optimal;
-    }
-
-    /// Whether the decision is a pure function of the [`PolicyContext`]
-    /// (given an unchanged [`PolicyContext::feedback`]; see
-    /// [`uses_feedback`](Self::uses_feedback)), so the scheduler may skip
-    /// a round whose context is bit-identical to the previous one and
-    /// replay the cached outcome. Defaults to `false` to stay safe for
-    /// external policies; every built-in overrides it to `true`.
-    fn cacheable(&self) -> bool {
-        false
-    }
-
-    /// Whether the policy reads [`PolicyContext::feedback`]. The scheduler
-    /// additionally requires the feedback window to be unchanged before
-    /// replaying a cached round for such a policy — without this, a
-    /// feedback step that should trigger adaptation could be swallowed by
-    /// the identical-round cache. Defaults to `false`.
+    /// Whether the policy reads [`PolicyContext::feedback`]. The simulation
+    /// runs its windowed QoS monitor only for such policies; every other
+    /// policy sees the default (all-zero) feedback. Defaults to `false`.
     fn uses_feedback(&self) -> bool {
         false
     }
@@ -331,62 +298,13 @@ impl JabaSd {
             node_limit: 200_000,
         }
     }
-}
 
-impl AdmissionPolicy for JabaSd {
-    fn name(&self) -> &'static str {
-        "jaba-sd"
-    }
-
-    fn describe(&self) -> String {
-        let solver = if self.exact {
-            "exact branch-and-bound"
-        } else {
-            "density greedy"
-        };
-        match self.objective {
-            Objective::J1 => format!("JABA-SD, J1 (pure rate), {solver}"),
-            Objective::J2 { lambda, mu } => {
-                format!("JABA-SD, J2 (λ = {lambda}, μ = {mu} s), {solver}")
-            }
-        }
-    }
-
-    fn decide(&mut self, ctx: &PolicyContext<'_>) -> PolicyDecision {
-        let c: Vec<f64> = ctx
-            .requests
-            .iter()
-            .zip(ctx.delta_beta)
-            .map(|(r, &db)| {
-                self.objective
-                    .weight(db, r.priority, r.waiting_s, &ctx.cfg.timers)
-            })
-            .collect();
-        let lo: Vec<u32> = ctx.bounds.iter().map(|b| b.0).collect();
-        let hi: Vec<u32> = ctx.bounds.iter().map(|b| b.1).collect();
-        let problem = region_problem(ctx.region, c, lo, hi);
-        if self.exact {
-            let (sol, complete) = branch_and_bound(&problem, self.node_limit);
-            PolicyDecision {
-                m: sol.m,
-                objective_value: sol.objective,
-                optimal: complete,
-            }
-        } else {
-            let sol = greedy(&problem);
-            PolicyDecision {
-                m: sol.m,
-                objective_value: sol.objective,
-                optimal: true,
-            }
-        }
-    }
-
-    fn decide_into(&mut self, ctx: &PolicyContext<'_>, out: &mut PolicyScratch) {
-        // Same decision as `decide`, but the problem shell and the
-        // branch-and-bound workspace come from `out`: a warm round fills
-        // existing buffers and solves without allocating. The workspace
-        // solver is bit-identical to the one-shot `branch_and_bound`.
+    /// Solves the round's integer program over the region with every
+    /// headroom scaled by `eta`, reusing `out`'s problem shell and
+    /// branch-and-bound workspace (a steady-state round fills existing
+    /// buffers and solves without allocating). `eta = 1` multiplies by 1.0,
+    /// which is exact, so it solves the unscaled region bit for bit.
+    fn solve(&self, ctx: &PolicyContext<'_>, eta: f64, out: &mut PolicyScratch) {
         let PolicyScratch {
             m,
             objective_value,
@@ -410,25 +328,41 @@ impl AdmissionPolicy for JabaSd {
             problem.a.extend_from_slice(row);
         }
         problem.b.clear();
-        problem.b.extend_from_slice(&ctx.region.b);
+        problem.b.extend(ctx.region.b.iter().map(|&bk| bk * eta));
         problem.validate().expect("invalid problem");
-        if self.exact {
-            let (sol, complete) = bb.solve(problem, self.node_limit);
-            m.clear();
-            m.extend_from_slice(&sol.m);
-            *objective_value = sol.objective;
-            *optimal = complete;
+        let (sol, complete) = if self.exact {
+            bb.solve(problem, self.node_limit)
         } else {
-            let sol = bb.greedy(problem);
-            m.clear();
-            m.extend_from_slice(&sol.m);
-            *objective_value = sol.objective;
-            *optimal = true;
+            (bb.greedy(problem), true)
+        };
+        m.clear();
+        m.extend_from_slice(&sol.m);
+        *objective_value = sol.objective;
+        *optimal = complete;
+    }
+}
+
+impl AdmissionPolicy for JabaSd {
+    fn name(&self) -> &'static str {
+        "jaba-sd"
+    }
+
+    fn describe(&self) -> String {
+        let solver = if self.exact {
+            "exact branch-and-bound"
+        } else {
+            "density greedy"
+        };
+        match self.objective {
+            Objective::J1 => format!("JABA-SD, J1 (pure rate), {solver}"),
+            Objective::J2 { lambda, mu } => {
+                format!("JABA-SD, J2 (λ = {lambda}, μ = {mu} s), {solver}")
+            }
         }
     }
 
-    fn cacheable(&self) -> bool {
-        true
+    fn decide(&mut self, ctx: &PolicyContext<'_>, out: &mut PolicyScratch) {
+        self.solve(ctx, 1.0, out);
     }
 
     fn clone_box(&self) -> BoxedPolicy {
@@ -491,7 +425,7 @@ impl AdmissionPolicy for Fcfs {
         }
     }
 
-    fn decide(&mut self, ctx: &PolicyContext<'_>) -> PolicyDecision {
+    fn decide(&mut self, ctx: &PolicyContext<'_>, out: &mut PolicyScratch) {
         let m = fcfs_fill(
             ctx.region,
             ctx.region.b.clone(),
@@ -499,16 +433,7 @@ impl AdmissionPolicy for Fcfs {
             ctx.bounds,
             self.max_concurrent,
         );
-        let objective_value = rate_value(&m, ctx.delta_beta);
-        PolicyDecision {
-            m,
-            objective_value,
-            optimal: true,
-        }
-    }
-
-    fn cacheable(&self) -> bool {
-        true
+        out.set_rate_decision(m, ctx.delta_beta);
     }
 
     fn clone_box(&self) -> BoxedPolicy {
@@ -531,7 +456,7 @@ impl AdmissionPolicy for EqualShare {
         "largest common m admissible for every pending request".into()
     }
 
-    fn decide(&mut self, ctx: &PolicyContext<'_>) -> PolicyDecision {
+    fn decide(&mut self, ctx: &PolicyContext<'_>, out: &mut PolicyScratch) {
         let n = ctx.bounds.len();
         let m_max = ctx.cfg.spreading.max_gain_ratio;
         let mut best = vec![0u32; n];
@@ -547,16 +472,7 @@ impl AdmissionPolicy for EqualShare {
                 break;
             }
         }
-        let objective_value = rate_value(&best, ctx.delta_beta);
-        PolicyDecision {
-            m: best,
-            objective_value,
-            optimal: true,
-        }
-    }
-
-    fn cacheable(&self) -> bool {
-        true
+        out.set_rate_decision(best, ctx.delta_beta);
     }
 
     fn clone_box(&self) -> BoxedPolicy {
@@ -630,7 +546,7 @@ impl AdmissionPolicy for WeightedFairShare {
         )
     }
 
-    fn decide(&mut self, ctx: &PolicyContext<'_>) -> PolicyDecision {
+    fn decide(&mut self, ctx: &PolicyContext<'_>, out: &mut PolicyScratch) {
         let n = ctx.requests.len();
         let weights: Vec<f64> = ctx
             .requests
@@ -672,16 +588,7 @@ impl AdmissionPolicy for WeightedFairShare {
                 saturated[j] = true;
             }
         }
-        let objective_value = rate_value(&m, ctx.delta_beta);
-        PolicyDecision {
-            m,
-            objective_value,
-            optimal: true,
-        }
-    }
-
-    fn cacheable(&self) -> bool {
-        true
+        out.set_rate_decision(m, ctx.delta_beta);
     }
 
     fn clone_box(&self) -> BoxedPolicy {
@@ -730,7 +637,7 @@ impl AdmissionPolicy for ThresholdReservation {
         )
     }
 
-    fn decide(&mut self, ctx: &PolicyContext<'_>) -> PolicyDecision {
+    fn decide(&mut self, ctx: &PolicyContext<'_>, out: &mut PolicyScratch) {
         let reduced: Vec<f64> = ctx
             .region
             .b
@@ -738,16 +645,7 @@ impl AdmissionPolicy for ThresholdReservation {
             .map(|&bk| bk * (1.0 - self.margin))
             .collect();
         let m = fcfs_fill(ctx.region, reduced, ctx.requests, ctx.bounds, None);
-        let objective_value = rate_value(&m, ctx.delta_beta);
-        PolicyDecision {
-            m,
-            objective_value,
-            optimal: true,
-        }
-    }
-
-    fn cacheable(&self) -> bool {
-        true
+        out.set_rate_decision(m, ctx.delta_beta);
     }
 
     fn clone_box(&self) -> BoxedPolicy {
@@ -767,8 +665,7 @@ impl AdmissionPolicy for ThresholdReservation {
 /// under the target.
 ///
 /// Adaptation happens exactly once per closed feedback window
-/// ([`QosFeedback::seq`] step), never per round, so cached-round replay
-/// and cold-mode solving stay bit-identical.
+/// ([`QosFeedback::seq`] step), never per round.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MeasuredRegion {
     /// QoS target: tolerated windowed outage / SIR-violation rate.
@@ -866,11 +763,6 @@ impl MeasuredRegion {
         }
         self.eta[d]
     }
-
-    /// The underlying solver configuration (shared with JABA-SD J2).
-    fn solver() -> JabaSd {
-        JabaSd::default_j2()
-    }
 }
 
 impl AdmissionPolicy for MeasuredRegion {
@@ -886,57 +778,12 @@ impl AdmissionPolicy for MeasuredRegion {
         )
     }
 
-    fn decide(&mut self, ctx: &PolicyContext<'_>) -> PolicyDecision {
-        let mut out = PolicyScratch::default();
-        self.decide_into(ctx, &mut out);
-        PolicyDecision {
-            m: out.m,
-            objective_value: out.objective_value,
-            optimal: out.optimal,
-        }
-    }
-
-    fn decide_into(&mut self, ctx: &PolicyContext<'_>, out: &mut PolicyScratch) {
-        let eta = self.adapt(ctx);
-        let solver = Self::solver();
-        let PolicyScratch {
-            m,
-            objective_value,
-            optimal,
-            problem,
-            bb,
-        } = out;
-        problem.c.clear();
-        problem
-            .c
-            .extend(ctx.requests.iter().zip(ctx.delta_beta).map(|(r, &db)| {
-                solver
-                    .objective
-                    .weight(db, r.priority, r.waiting_s, &ctx.cfg.timers)
-            }));
-        problem.lo.clear();
-        problem.lo.extend(ctx.bounds.iter().map(|b| b.0));
-        problem.hi.clear();
-        problem.hi.extend(ctx.bounds.iter().map(|b| b.1));
-        problem.a.clear();
-        for row in &ctx.region.a {
-            problem.a.extend_from_slice(row);
-        }
-        problem.b.clear();
+    fn decide(&mut self, ctx: &PolicyContext<'_>, out: &mut PolicyScratch) {
         // η ≤ 1, so every solution also satisfies the unscaled region and
         // the scheduler's admissibility contract holds by construction
-        // (η = 1 multiplies by 1.0 exactly — bit-identical to JABA-SD).
-        problem.b.extend(ctx.region.b.iter().map(|&bk| bk * eta));
-        problem.validate().expect("invalid problem");
-        let (sol, complete) = bb.solve(problem, solver.node_limit);
-        m.clear();
-        m.extend_from_slice(&sol.m);
-        *objective_value = sol.objective;
-        *optimal = complete;
-    }
-
-    fn cacheable(&self) -> bool {
-        true
+        // (η = 1 is bit-identical to JABA-SD J2).
+        let eta = self.adapt(ctx);
+        JabaSd::default_j2().solve(ctx, eta, out);
     }
 
     fn uses_feedback(&self) -> bool {
@@ -1034,7 +881,7 @@ impl AdmissionPolicy for GracefulDegradation {
         )
     }
 
-    fn decide(&mut self, ctx: &PolicyContext<'_>) -> PolicyDecision {
+    fn decide(&mut self, ctx: &PolicyContext<'_>, out: &mut PolicyScratch) {
         let level = self.adapt(ctx);
         let n = ctx.requests.len();
         let m = match level {
@@ -1053,16 +900,7 @@ impl AdmissionPolicy for GracefulDegradation {
             }
             _ => vec![0u32; n],
         };
-        let objective_value = rate_value(&m, ctx.delta_beta);
-        PolicyDecision {
-            m,
-            objective_value,
-            optimal: true,
-        }
-    }
-
-    fn cacheable(&self) -> bool {
-        true
+        out.set_rate_decision(m, ctx.delta_beta);
     }
 
     fn uses_feedback(&self) -> bool {
@@ -1071,35 +909,6 @@ impl AdmissionPolicy for GracefulDegradation {
 
     fn clone_box(&self) -> BoxedPolicy {
         Box::new(*self)
-    }
-}
-
-impl From<Policy> for BoxedPolicy {
-    /// Converts the deprecated [`Policy`] enum into the trait object it
-    /// shims.
-    ///
-    /// # Panics
-    ///
-    /// On `Policy::Fcfs { max_concurrent: Some(0) }`, which has no sound
-    /// meaning (see [`Fcfs::new`]). The struct constructors report this as
-    /// a `Result`; the enum cannot, so the conversion fails loudly instead
-    /// of silently never granting.
-    fn from(p: Policy) -> Self {
-        match p {
-            Policy::JabaSd {
-                objective,
-                exact,
-                node_limit,
-            } => Box::new(JabaSd {
-                objective,
-                exact,
-                node_limit,
-            }),
-            Policy::Fcfs { max_concurrent } => {
-                Box::new(Fcfs::new(max_concurrent).expect("invalid Policy::Fcfs"))
-            }
-            Policy::EqualShare => Box::new(EqualShare),
-        }
     }
 }
 
@@ -1180,51 +989,11 @@ mod tests {
     }
 
     #[test]
-    fn enum_shim_matches_trait_structs_outcome_for_outcome() {
-        // The deprecated enum and the trait structs must be the same
-        // policies: identical ScheduleOutcomes on the same instance.
-        let specs = three_reqs();
-        let pairs: Vec<(Policy, BoxedPolicy)> = vec![
-            (Policy::jaba_sd_default(), JabaSd::default_j2().into_boxed()),
-            (
-                Policy::Fcfs {
-                    max_concurrent: None,
-                },
-                Fcfs::unlimited().into_boxed(),
-            ),
-            (
-                Policy::Fcfs {
-                    max_concurrent: Some(1),
-                },
-                Fcfs::single().into_boxed(),
-            ),
-            (Policy::EqualShare, EqualShare.into_boxed()),
-        ];
-        for (legacy, modern) in pairs {
-            let name = modern.name();
-            let a = schedule_with(legacy.into(), &specs);
-            let b = schedule_with(modern, &specs);
-            assert_eq!(a.m, b.m, "{name}: grant vectors diverge");
-            assert_eq!(a.delta_beta, b.delta_beta, "{name}");
-            assert_eq!(a.objective_value, b.objective_value, "{name}");
-            assert_eq!(a.optimal, b.optimal, "{name}");
-        }
-    }
-
-    #[test]
     fn fcfs_zero_cap_is_a_constructor_error() {
         let err = Fcfs::new(Some(0)).expect_err("Some(0) must be rejected");
         assert!(err.contains("max_concurrent"), "{err}");
         assert!(Fcfs::new(Some(1)).is_ok());
         assert!(Fcfs::new(None).is_ok());
-        // The enum shim has no Result channel: it must fail loudly, not
-        // silently deny every request forever.
-        let outcome = std::panic::catch_unwind(|| {
-            BoxedPolicy::from(Policy::Fcfs {
-                max_concurrent: Some(0),
-            })
-        });
-        assert!(outcome.is_err(), "enum shim must reject Some(0) loudly");
     }
 
     #[test]

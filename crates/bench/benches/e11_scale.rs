@@ -25,30 +25,6 @@
 //! machine's core count so thread-sweep rows measured on a single-core
 //! container (pure overhead floor) can be discarded downstream.
 //!
-//! The **scheduling sweep** prices the warm-started scheduling phase
-//! (persistent per-direction simplex workspaces + the identical-round
-//! solve cache) against a per-round cold reset (`SimConfig::cold_sched`)
-//! on a scheduling-heavy traffic profile. Warm and cold are bit-identical
-//! by construction — the rows measure the pure optimisation: frames/s in
-//! both modes, the warm-start hit rate, and the cached-round count. The
-//! win is allocation elimination plus basis re-entry, so it shows up on a
-//! single core; in quick mode the bench **asserts warm is no slower than
-//! cold** (and that the hit rate clears the 50 % bar the tests pin).
-//!
-//! The bench also carries the **dispatch-overhead smoke** for the open
-//! admission-policy API: the scheduler's policy is a boxed
-//! `AdmissionPolicy` trait object, constructed either from the deprecated
-//! `Policy` enum shim or resolved by name from the `PolicyRegistry`. Both
-//! must run the frame pipeline at the same speed (asserted within 2 % in
-//! quick mode) — the assert guards the *construction paths* (parameter
-//! drift between the shim and the registry defaults, or a wrapper layer
-//! sneaking into either) rather than dyn-vs-static dispatch, since the
-//! static enum-match scheduler no longer exists. The absolute frames/s
-//! rows in `BENCH_e11_scale.json` are the cross-PR trend guard for the
-//! boxed pipeline's cost itself (PR 2's enum-match scheduler recorded
-//! 9063 fps at 200 mobiles; the boxed redesign measured 9086 on the same
-//! machine).
-//!
 //! The **measurement-feedback smoke** prices the in-loop QoS machinery
 //! behind the `measured-region` policy (per-frame violation accounting +
 //! the windowed monitor): with every mismatch knob disabled its decisions
@@ -62,7 +38,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 use std::time::Instant;
-use wcdma_admission::{Policy, PolicyRegistry, SchedStats};
+use wcdma_admission::PolicyRegistry;
 use wcdma_bench::banner;
 use wcdma_sim::{SimConfig, Simulation, Table};
 
@@ -123,27 +99,6 @@ fn large_rows() -> Vec<(usize, usize, f64)> {
             cfg_frames_per_sec(culled_cfg(1_000_000), 3),
         ),
     ]
-}
-
-/// Measures the enum-shim-constructed scheduler against the
-/// registry-resolved one (which must carry identical policy parameters)
-/// and returns `(enum_fps, registry_fps)`, best-of-`trials` interleaved
-/// so machine noise hits both variants alike. Both produce boxed
-/// schedulers: a gap beyond noise means the two construction paths no
-/// longer build the same policy.
-fn dispatch_overhead(n_mobiles: usize, frames: usize, trials: usize) -> (f64, f64) {
-    let enum_cfg = scale_cfg(n_mobiles).with_policy(Policy::jaba_sd_default());
-    let registry_cfg = scale_cfg(n_mobiles).with_policy(
-        PolicyRegistry::standard()
-            .resolve("jaba-sd-j2")
-            .expect("standard registry name"),
-    );
-    let mut best = (0.0f64, 0.0f64);
-    for _ in 0..trials {
-        best.0 = best.0.max(cfg_frames_per_sec(enum_cfg.clone(), frames));
-        best.1 = best.1.max(cfg_frames_per_sec(registry_cfg.clone(), frames));
-    }
-    best
 }
 
 /// Measures the model-trusting baseline against the measurement-based
@@ -213,95 +168,15 @@ fn thread_sweep(quick: bool) -> Vec<(usize, usize, usize, f64)> {
     rows
 }
 
-/// A scheduling-heavy variant of `scale_cfg`: half the population is data
-/// users with short bursts and short reading times, so the request queue
-/// almost always has work and the per-frame cost is dominated by
-/// scheduling rounds rather than bit delivery.
-fn sched_cfg(n_mobiles: usize, cold: bool) -> SimConfig {
-    let mut c = scale_cfg(n_mobiles);
-    c.n_data = (n_mobiles / 2).max(1);
-    c.n_voice = n_mobiles - c.n_data;
-    c.traffic.mean_burst_bits = 20_000.0;
-    c.traffic.max_burst_bits = 60_000.0;
-    c.traffic.mean_reading_s = 0.3;
-    c.cold_sched = cold;
-    c
-}
-
-/// One row of the warm-vs-cold scheduling sweep.
-struct SchedRow {
-    mobiles: usize,
-    cold_fps: f64,
-    warm_fps: f64,
-    /// The warm run's cumulative scheduler counters (warm-up included).
-    stats: SchedStats,
-}
-
-impl SchedRow {
-    /// Warm-start hit rate over the solves that actually ran.
-    fn hit_rate(&self) -> f64 {
-        if self.stats.solves == 0 {
-            0.0
-        } else {
-            self.stats.warm_hits as f64 / self.stats.solves as f64
-        }
-    }
-}
-
-/// Measures one (mobiles, mode) cell of the scheduling sweep: frames/s
-/// plus the scheduler's cumulative counters.
-fn sched_cell(n_mobiles: usize, cold: bool, frames: usize) -> (f64, SchedStats) {
-    let mut sim = Simulation::new(sched_cfg(n_mobiles, cold));
-    for _ in 0..20 {
-        sim.step_frame(); // warm up active sets, workspaces, capacities
-    }
-    let t0 = Instant::now();
-    for _ in 0..frames {
-        sim.step_frame();
-    }
-    let dt = t0.elapsed().as_secs_f64();
-    black_box(sim.time());
-    (frames as f64 / dt, sim.sched_stats())
-}
-
-/// Frames per scheduling-sweep cell in quick (CI smoke) mode.
-const QUICK_SCHED_FRAMES: usize = 150;
-
-/// The warm-vs-cold scheduling sweep. Cold and warm cells are measured
-/// interleaved per population so machine noise hits both modes alike.
-fn sched_sweep(quick: bool) -> Vec<SchedRow> {
-    let (sizes, frames): (&[usize], usize) = if quick {
-        (&[200], QUICK_SCHED_FRAMES)
-    } else {
-        (&[200, 1000], 300)
-    };
-    sizes
-        .iter()
-        .map(|&n| {
-            let (cold_fps, _) = sched_cell(n, true, frames);
-            let (warm_fps, stats) = sched_cell(n, false, frames);
-            SchedRow {
-                mobiles: n,
-                cold_fps,
-                warm_fps,
-                stats,
-            }
-        })
-        .collect()
-}
-
-/// Writes the sweep plus the dispatch smoke as a machine-readable snapshot
+/// Writes the sweep plus the feedback smoke as a machine-readable snapshot
 /// (CI uploads it as `BENCH_e11_scale.json` so the perf trajectory
 /// accumulates over PRs).
-#[allow(clippy::too_many_arguments)]
 fn write_json_snapshot(
     path: &str,
     quick: bool,
     rows: &[(usize, f64)],
     scale: &[(usize, usize, f64)],
     sweep: &[(usize, usize, usize, f64)],
-    sched: &[SchedRow],
-    dispatch: (f64, f64),
     feedback: (f64, f64),
 ) {
     let entries: Vec<String> = rows
@@ -333,22 +208,6 @@ fn write_json_snapshot(
             )
         })
         .collect();
-    let sched_entries: Vec<String> = sched
-        .iter()
-        .map(|r| {
-            format!(
-                "    {{\"mobiles\": {}, \"cold_fps\": {:.1}, \"warm_fps\": {:.1}, \
-                 \"warm_over_cold\": {:.3}, \"warm_hit_rate\": {:.3}, \"cached_rounds\": {}}}",
-                r.mobiles,
-                r.cold_fps,
-                r.warm_fps,
-                r.warm_fps / r.cold_fps,
-                r.hit_rate(),
-                r.stats.skipped_identical
-            )
-        })
-        .collect();
-    let (enum_fps, registry_fps) = dispatch;
     // `cores` lets downstream trend tooling discard thread-sweep rows
     // measured on a single-core container, where every threads > 1 cell is
     // an overhead floor rather than a scaling measurement; the explicit
@@ -362,13 +221,11 @@ fn write_json_snapshot(
     };
     let (jaba_fps, measured_fps) = feedback;
     let json = format!(
-        "{{\n  \"bench\": \"e11_scale\",\n  \"quick\": {quick},\n  \"cores\": {cores},{note}\n  \"canonical_order_version\": {},\n  \"rows\": [\n{}\n  ],\n  \"scale_rows\": [\n{}\n  ],\n  \"thread_sweep\": [\n{}\n  ],\n  \"sched_sweep\": [\n{}\n  ],\n  \"dispatch\": {{\"enum_shim_fps\": {enum_fps:.1}, \"registry_boxed_fps\": {registry_fps:.1}, \"ratio\": {:.4}}},\n  \"feedback\": {{\"jaba_sd_fps\": {jaba_fps:.1}, \"measured_region_fps\": {measured_fps:.1}, \"ratio\": {:.4}}}\n}}\n",
+        "{{\n  \"bench\": \"e11_scale\",\n  \"quick\": {quick},\n  \"cores\": {cores},{note}\n  \"canonical_order_version\": {},\n  \"rows\": [\n{}\n  ],\n  \"scale_rows\": [\n{}\n  ],\n  \"thread_sweep\": [\n{}\n  ],\n  \"feedback\": {{\"jaba_sd_fps\": {jaba_fps:.1}, \"measured_region_fps\": {measured_fps:.1}, \"ratio\": {:.4}}}\n}}\n",
         wcdma_math::CANONICAL_ORDER_VERSION,
         entries.join(",\n"),
         scale_entries.join(",\n"),
         sweep_entries.join(",\n"),
-        sched_entries.join(",\n"),
-        registry_fps / enum_fps,
         measured_fps / jaba_fps
     );
     match std::fs::write(path, json) {
@@ -477,82 +334,7 @@ fn print_experiment() {
         println!("single-core machine: skipping the 4-thread-vs-1-thread guard");
     }
 
-    // Scheduling sweep: warm-started scheduling phase vs per-round cold
-    // reset on a scheduling-heavy profile. Bit-identical either way; the
-    // rows price the optimisation and record the warm-start hit rate.
-    let mut sched = sched_sweep(quick);
-    let mut ss = Table::new(&[
-        "mobiles",
-        "cold fps",
-        "warm fps",
-        "speedup",
-        "warm-hit rate",
-        "cached rounds",
-    ]);
-    for r in &sched {
-        ss.row(&[
-            r.mobiles.to_string(),
-            format!("{:.1}", r.cold_fps),
-            format!("{:.1}", r.warm_fps),
-            format!("{:.2}x", r.warm_fps / r.cold_fps),
-            format!("{:.0}%", 100.0 * r.hit_rate()),
-            r.stats.skipped_identical.to_string(),
-        ]);
-    }
-    println!("{}", ss.render());
-    if quick {
-        // CI guard: warm scheduling must never be slower than cold. The
-        // win is allocation elimination plus simplex basis re-entry, so it
-        // holds on a single core — no core-count gate. One clean
-        // re-measure of both cells absorbs runner noise, and a 5 % floor
-        // keeps the guard from flaking while catching real regressions.
-        let row = &mut sched[0];
-        if row.warm_fps < 0.95 * row.cold_fps {
-            let (cold_fps, _) = sched_cell(row.mobiles, true, QUICK_SCHED_FRAMES);
-            let (warm_fps, stats) = sched_cell(row.mobiles, false, QUICK_SCHED_FRAMES);
-            (row.cold_fps, row.warm_fps, row.stats) = (cold_fps, warm_fps, stats);
-            println!(
-                "re-measured sched guard cells: cold {cold_fps:.1} fps, warm {warm_fps:.1} fps"
-            );
-        }
-        assert!(
-            row.warm_fps >= 0.95 * row.cold_fps,
-            "warm-started scheduling slower than cold at {} mobiles: {:.1} vs {:.1} fps",
-            row.mobiles,
-            row.warm_fps,
-            row.cold_fps
-        );
-        // Deterministic (fixed seed), so no noise floor: the optimisation
-        // must actually engage on this profile, mirroring the test bar.
-        assert!(
-            row.stats.warm_hits * 2 >= row.stats.solves,
-            "warm-start hit rate below 50%: {:?}",
-            row.stats
-        );
-    }
-
-    // Dispatch-overhead smoke: enum-shim vs registry-resolved boxed-trait
-    // scheduler on the same scenario. Best-of-N interleaved trials; on a
-    // noisy runner a gap over threshold gets one clean re-measure before
-    // the quick-mode assert fails the bench.
     let frames = if quick { 250 } else { 300 };
-    let (mut enum_fps, mut registry_fps) = dispatch_overhead(200, frames, 7);
-    let gap = |a: f64, b: f64| (a - b).abs() / a.max(b);
-    if quick && gap(enum_fps, registry_fps) > 0.02 {
-        (enum_fps, registry_fps) = dispatch_overhead(200, frames, 7);
-    }
-    println!(
-        "policy dispatch: enum-shim {enum_fps:.1} fps vs registry-boxed {registry_fps:.1} fps \
-         ({:+.2} % gap)",
-        100.0 * (registry_fps / enum_fps - 1.0)
-    );
-    if quick {
-        assert!(
-            gap(enum_fps, registry_fps) <= 0.02,
-            "boxed-trait dispatch overhead exceeds 2 %: enum-shim {enum_fps:.1} fps vs \
-             registry-boxed {registry_fps:.1} fps"
-        );
-    }
 
     // Measurement-feedback overhead smoke: with every mismatch knob at
     // its disabled default, `measured-region` makes the same decisions as
@@ -583,8 +365,6 @@ fn print_experiment() {
                 &rows,
                 &scale,
                 &sweep,
-                &sched,
-                (enum_fps, registry_fps),
                 (jaba_fps, measured_fps),
             );
         }

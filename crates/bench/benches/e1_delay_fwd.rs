@@ -5,6 +5,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
+use wcdma_admission::{AdmissionPolicy, Fcfs};
 use wcdma_bench::{banner, policies, quick_base};
 use wcdma_mac::LinkDir;
 use wcdma_sim::experiments::delay_vs_load;
@@ -51,9 +52,7 @@ fn bench(c: &mut Criterion) {
     group.bench_function("sim_10s_jaba_sd", |b| {
         b.iter(|| Simulation::new(black_box(cfg.clone())).run())
     });
-    let fcfs = cfg.with_policy(wcdma_admission::Policy::Fcfs {
-        max_concurrent: None,
-    });
+    let fcfs = cfg.with_policy(Fcfs::unlimited().into_boxed());
     group.bench_function("sim_10s_fcfs", |b| {
         b.iter(|| Simulation::new(black_box(fcfs.clone())).run())
     });

@@ -8,7 +8,7 @@
 //! 2. registers Criterion timings on the computational kernel behind the
 //!    experiment, so `cargo bench` also tracks the cost of the machinery.
 
-use wcdma_admission::Policy;
+use wcdma_admission::BoxedPolicy;
 use wcdma_sim::SimConfig;
 
 /// Quick experiment base profile: 7-cell system, 20 s runs, tuned into the
@@ -29,7 +29,7 @@ pub fn quick_base() -> SimConfig {
 }
 
 /// The policy set compared throughout the evaluation.
-pub fn policies() -> Vec<(&'static str, Policy)> {
+pub fn policies() -> Vec<(&'static str, BoxedPolicy)> {
     SimConfig::comparison_policies()
 }
 

@@ -77,9 +77,8 @@ options:
   --quick       CI smoke profile: short runs, at most 2 replications
   --trace       also capture per-frame policy decisions (first replication
                 of every scenario) into <name>-trace.csv
-  --sched-stats print per-scenario scheduling-phase statistics (solves,
-                warm-start hits, cached rounds, B&B nodes) from the first
-                replication of every scenario
+  --sched-stats print per-scenario scheduling-phase statistics (rounds,
+                B&B nodes) from the first replication of every scenario
   --shards N    worker threads (default: one per core)
   --frame-threads N
                 threads *inside* each replication's frame loop (default:
@@ -675,34 +674,12 @@ fn cmd_run_service(
     Ok(())
 }
 
-/// Renders per-scenario scheduling-phase statistics: how much of the
-/// scheduling work the warm-started workspaces and the identical-round
-/// cache absorbed.
+/// Renders per-scenario scheduling-phase statistics: scheduling rounds
+/// and the branch-and-bound nodes they visited.
 fn sched_stats_table(stats: &[(String, wcdma_sim::campaign::SchedStats)]) -> Table {
-    let mut t = Table::new(&[
-        "scenario",
-        "rounds",
-        "solves",
-        "warm hits",
-        "cached",
-        "bb nodes",
-        "warm rate",
-    ]);
+    let mut t = Table::new(&["scenario", "rounds", "bb nodes"]);
     for (label, s) in stats {
-        let rate = if s.solves > 0 {
-            format!("{:.0}%", 100.0 * s.warm_hits as f64 / s.solves as f64)
-        } else {
-            "—".into()
-        };
-        t.row(&[
-            label.clone(),
-            s.rounds.to_string(),
-            s.solves.to_string(),
-            s.warm_hits.to_string(),
-            s.skipped_identical.to_string(),
-            s.bb_nodes.to_string(),
-            rate,
-        ]);
+        t.row(&[label.clone(), s.rounds.to_string(), s.bb_nodes.to_string()]);
     }
     t
 }
@@ -980,24 +957,34 @@ mod tests {
     }
 
     #[test]
-    fn sched_stats_table_renders_rates() {
+    fn sched_stats_table_renders_counts() {
         use wcdma_sim::campaign::SchedStats;
         let rows = vec![
             (
                 "busy".to_string(),
                 SchedStats {
                     rounds: 10,
-                    solves: 4,
-                    warm_hits: 3,
-                    skipped_identical: 6,
                     bb_nodes: 123,
                 },
             ),
             ("idle".to_string(), SchedStats::default()),
         ];
         let rendered = sched_stats_table(&rows).render();
-        assert!(rendered.contains("75%"), "{rendered}");
-        assert!(rendered.contains("—"), "{rendered}");
+        let header = rendered.lines().next().expect("header row");
+        assert!(
+            header.contains("rounds") && header.contains("bb nodes"),
+            "{rendered}"
+        );
+        assert!(
+            !header.contains("warm") && !header.contains("cached"),
+            "{rendered}"
+        );
+        let busy = rendered
+            .lines()
+            .find(|l| l.contains("busy"))
+            .expect("busy row");
+        assert!(busy.contains("10") && busy.contains("123"), "{rendered}");
+        assert!(rendered.lines().any(|l| l.contains("idle")), "{rendered}");
     }
 
     #[test]

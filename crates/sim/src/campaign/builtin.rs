@@ -91,8 +91,8 @@ pub fn builtin(name: &str) -> Option<ScenarioSpec> {
         }
         "burst-stress" => {
             spec.description = "Burst-heavy smoke: web-dominated traffic at rising data load — \
-                 exercises the warm-started scheduling phase and the chunked \
-                 delivery loop hard"
+                 exercises the scheduling phase and the chunked delivery loop \
+                 hard"
                 .into();
             spec.seed = 0xB0257;
             spec.replications = 2;

@@ -1,6 +1,8 @@
 //! Simulation scenario configuration.
 
-use wcdma_admission::{BoxedPolicy, Objective, PhyModel, Policy, SchedulerConfig};
+use wcdma_admission::{
+    AdmissionPolicy, BoxedPolicy, JabaSd, PhyModel, PolicyRegistry, SchedulerConfig,
+};
 use wcdma_cdma::CdmaConfig;
 use wcdma_mac::{LinkDir, MacTimers};
 use wcdma_phy::{BerModel, FixedPhy, SpreadingConfig, Vtaoc};
@@ -173,9 +175,7 @@ pub struct SimConfig {
     /// Design-point mean CSI (dB) for the fixed PHY baseline.
     pub fixed_design_csi_db: f64,
     /// Scheduling policy under test — any [`wcdma_admission::AdmissionPolicy`]
-    /// object; registry names resolve via
-    /// [`wcdma_admission::PolicyRegistry::resolve`], and the deprecated
-    /// [`Policy`] enum still converts through `.into()`.
+    /// object; registry names resolve via [`PolicyRegistry::resolve`].
     pub policy: BoxedPolicy,
     /// Minimum justified burst duration T1 (s).
     pub t1_min_burst_s: f64,
@@ -197,12 +197,6 @@ pub struct SimConfig {
     /// fixed-size blocks and folds all `f64` reductions in chunk order,
     /// so every thread count produces bit-identical output.
     pub frame_threads: usize,
-    /// Force the scheduler into [`wcdma_admission::SolveMode::Cold`]:
-    /// every round rebuilds its workspace from scratch (the pre-warm-start
-    /// reference behaviour). **Never changes results** — warm reuse is
-    /// bit-identical by construction; this knob exists so tests and the
-    /// bench suite can prove it and measure the speedup.
-    pub cold_sched: bool,
     /// Candidate cells per mobile: each mobile only evaluates its
     /// `candidate_k` nearest cells (wrap-around distance) in the frame
     /// pipeline. `0` (the default) keeps every cell — bit-identical to the
@@ -240,7 +234,7 @@ impl SimConfig {
             phy: PhyKind::Adaptive,
             target_ber: 1e-3,
             fixed_design_csi_db: 3.0,
-            policy: Policy::jaba_sd_default().into(),
+            policy: JabaSd::default_j2().into_boxed(),
             t1_min_burst_s: 0.04,
             duration_s: 60.0,
             warmup_s: 5.0,
@@ -248,7 +242,6 @@ impl SimConfig {
             csi_error_sigma_db: 0.0,
             csi_delay_frames: 0,
             frame_threads: 1,
-            cold_sched: false,
             candidate_k: 0,
             candidate_refresh: 8,
             mismatch: MismatchConfig::disabled(),
@@ -321,12 +314,10 @@ impl SimConfig {
         Ok(())
     }
 
-    /// Returns a copy with a different policy (sweep helper). Accepts a
-    /// policy object, or a deprecated [`Policy`] enum value via its shim
-    /// conversion.
-    pub fn with_policy(&self, policy: impl Into<BoxedPolicy>) -> Self {
+    /// Returns a copy with a different policy (sweep helper).
+    pub fn with_policy(&self, policy: BoxedPolicy) -> Self {
         let mut c = self.clone();
-        c.policy = policy.into();
+        c.policy = policy;
         c
     }
 
@@ -377,15 +368,6 @@ impl SimConfig {
         c
     }
 
-    /// Returns a copy with cold (per-round-reset) scheduling. Results are
-    /// bit-identical to the warm default — this is a verification and
-    /// benchmarking knob, not a behaviour switch.
-    pub fn with_cold_sched(&self, cold_sched: bool) -> Self {
-        let mut c = self.clone();
-        c.cold_sched = cold_sched;
-        c
-    }
-
     /// Returns a copy with per-mobile candidate cell lists: `k` nearest
     /// cells per mobile (`0` = all cells, exact), re-selected every
     /// `refresh` frames. `k = 0` is bit-identical to the default; smaller
@@ -407,36 +389,19 @@ impl SimConfig {
         c
     }
 
-    /// The paper's comparison table as deprecated [`Policy`] enum values —
-    /// kept for the experiment drivers' signatures. The open, superset
-    /// registry (including the policies the enum cannot express) is
-    /// [`wcdma_admission::PolicyRegistry::standard`], which the campaign
-    /// layer's [`crate::campaign::policy_by_name`] resolves through.
-    pub fn comparison_policies() -> Vec<(&'static str, Policy)> {
-        vec![
-            ("jaba-sd-j2", Policy::jaba_sd_default()),
-            (
-                "jaba-sd-j1",
-                Policy::JabaSd {
-                    objective: Objective::J1,
-                    exact: true,
-                    node_limit: 200_000,
-                },
-            ),
-            (
-                "fcfs",
-                Policy::Fcfs {
-                    max_concurrent: None,
-                },
-            ),
-            (
-                "fcfs-1",
-                Policy::Fcfs {
-                    max_concurrent: Some(1),
-                },
-            ),
-            ("equal-share", Policy::EqualShare),
-        ]
+    /// The paper's comparison table — JABA-SD (J2, J1) against the FCFS
+    /// and equal-share baselines — resolved by name through
+    /// [`PolicyRegistry::standard`], the same path the campaign layer's
+    /// [`crate::campaign::policy_by_name`] takes.
+    pub fn comparison_policies() -> Vec<(&'static str, BoxedPolicy)> {
+        let registry = PolicyRegistry::standard();
+        ["jaba-sd-j2", "jaba-sd-j1", "fcfs", "fcfs-1", "equal-share"]
+            .into_iter()
+            .map(|name| {
+                let policy = registry.resolve(name).expect("standard policy");
+                (name, policy)
+            })
+            .collect()
     }
 }
 

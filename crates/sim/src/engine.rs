@@ -34,9 +34,7 @@
 //! bit-identical results** (and the zero-allocation invariant still
 //! holds — the pool allocates nothing per frame).
 
-use wcdma_admission::{
-    QosMonitor, RequestState, SchedStats, Scheduler, SolveMode, DEFAULT_QOS_WINDOW_FRAMES,
-};
+use wcdma_admission::{QosMonitor, RequestState, SchedStats, Scheduler, DEFAULT_QOS_WINDOW_FRAMES};
 use wcdma_cdma::{
     hotspot_weights, populate_round_robin, populate_weighted, Network, SchGrant, UserKind,
 };
@@ -60,15 +58,12 @@ const DELIVERY_CHUNK: usize = 32;
 
 /// Reuses a request-scratch allocation across scheduling rounds. The
 /// buffer is emptied first, so no borrow from a previous round survives;
-/// only the raw capacity carries over to the new lifetime.
+/// only the capacity carries over to the new lifetime: collecting an empty
+/// iterator into an element type of the same size and alignment reuses the
+/// source allocation in place.
 fn recycled<'to, 'from>(mut v: Vec<RequestState<'from>>) -> Vec<RequestState<'to>> {
     v.clear();
-    let (ptr, cap) = (v.as_mut_ptr(), v.capacity());
-    std::mem::forget(v);
-    // SAFETY: the vector is empty, so no element with the old lifetime
-    // exists; `RequestState<'from>` and `RequestState<'to>` have identical
-    // layout (lifetimes are erased at runtime).
-    unsafe { Vec::from_raw_parts(ptr.cast::<RequestState<'to>>(), 0, cap) }
+    v.into_iter().map(|_| unreachable!()).collect()
 }
 
 /// A burst currently being transmitted.
@@ -153,10 +148,7 @@ impl Simulation {
             let true_sigma = net.shadow_sigma_db() + cfg.mismatch.shadow_sigma_delta_db;
             net.set_channel_model(true_pl, true_sigma);
         }
-        let mut scheduler = Scheduler::new(cfg.scheduler_config(), cfg.policy.clone());
-        if cfg.cold_sched {
-            scheduler.set_mode(SolveMode::Cold);
-        }
+        let scheduler = Scheduler::new(cfg.scheduler_config(), cfg.policy.clone());
         let mut placement_rng = Xoshiro256pp::substream(cfg.seed, 0x9_1ACE);
         // Uniform scenarios keep the historical round-robin placement (and
         // its exact RNG consumption); hotspot scenarios overload cell 0.
@@ -304,8 +296,8 @@ impl Simulation {
         self.stats.bursts_completed
     }
 
-    /// Cumulative scheduling-phase statistics (solves, warm-start hits,
-    /// cached rounds, B&B nodes) since the simulation started.
+    /// Cumulative scheduling-phase statistics (rounds, B&B nodes) since
+    /// the simulation started.
     pub fn sched_stats(&self) -> SchedStats {
         self.scheduler.stats()
     }
@@ -674,7 +666,7 @@ impl Simulation {
 mod tests {
     use super::*;
     use crate::config::PhyKind;
-    use wcdma_admission::Policy;
+    use wcdma_admission::{AdmissionPolicy, Fcfs};
 
     fn quick_cfg() -> SimConfig {
         let mut c = SimConfig::baseline();
@@ -698,19 +690,35 @@ mod tests {
     }
 
     #[test]
-    fn cold_sched_is_bit_identical_and_reports_no_warm_hits() {
-        let (rw, sw) = Simulation::new(quick_cfg()).run_with_sched_stats();
-        let (rc, sc) = Simulation::new(quick_cfg().with_cold_sched(true)).run_with_sched_stats();
-        assert_eq!(rw, rc, "cold scheduling must not change the report");
-        assert_eq!(sw.rounds, sc.rounds);
-        assert_eq!(sw.bb_nodes + sc.bb_nodes > 0, sw.rounds > 0);
-        assert!(
-            sw.warm_hits > 0,
-            "steady web traffic must warm-start: {sw:?}"
-        );
-        assert_eq!(sc.warm_hits, 0, "cold mode never reports warm hits");
-        assert_eq!(sc.skipped_identical, 0, "cold mode never caches");
-        assert_eq!(sc.solves, sc.rounds, "cold mode solves every round: {sc:?}");
+    fn recycled_keeps_the_request_allocation() {
+        let mut v: Vec<RequestState<'static>> = Vec::with_capacity(37);
+        let (ptr, cap) = (v.as_ptr() as usize, v.capacity());
+        let meas = wcdma_cdma::DataUserMeasurement {
+            mobile: 0,
+            active_set: Vec::new(),
+            reduced_set: Vec::new(),
+            fch_fwd_power: Vec::new(),
+            alpha_fl: 1.0,
+            alpha_rl: 1.0,
+            zeta: 1.0,
+            rev_pilot_ecio: Vec::new(),
+            fwd_pilot_ecio: Vec::new(),
+            fch_ebi0_fwd: 1.0,
+            fch_ebi0_rev: 1.0,
+        };
+        {
+            let mut round: Vec<RequestState<'_>> = recycled(v);
+            round.push(RequestState {
+                meas: meas.as_view(),
+                size_bits: 1.0,
+                waiting_s: 0.0,
+                priority: 0.0,
+            });
+            v = recycled(round);
+        }
+        assert!(v.is_empty());
+        assert_eq!(v.as_ptr() as usize, ptr, "recycling must reuse the buffer");
+        assert_eq!(v.capacity(), cap, "recycling must keep the capacity");
     }
 
     #[test]
@@ -749,9 +757,7 @@ mod tests {
 
     #[test]
     fn fcfs_policy_runs() {
-        let cfg = quick_cfg().with_policy(Policy::Fcfs {
-            max_concurrent: None,
-        });
+        let cfg = quick_cfg().with_policy(Fcfs::unlimited().into_boxed());
         let report = Simulation::new(cfg).run();
         assert!(report.bursts_completed > 0);
     }

@@ -39,7 +39,7 @@ pub struct DecisionRecord {
     /// Objective value the policy reported (weight units).
     pub objective_value: f64,
     /// Whether the decision is provably optimal for the policy's own
-    /// objective (see [`wcdma_admission::PolicyDecision::optimal`]).
+    /// objective (see [`wcdma_admission::PolicyScratch::optimal`]).
     pub optimal: bool,
     /// Remaining admissible-region headroom per constraint row *after*
     /// the grants.
@@ -70,7 +70,7 @@ pub trait DecisionTrace: Send {
     fn record(&mut self, rec: DecisionRecord);
 
     /// Called after each scheduling round with the scheduler's cumulative
-    /// [`SchedStats`] (solves, warm-start hits, cached rounds, B&B nodes).
+    /// [`SchedStats`] (rounds, B&B nodes).
     /// Default: ignored — stats are observability only and never feed back
     /// into the run.
     fn record_sched(&mut self, stats: SchedStats) {
@@ -190,5 +190,32 @@ mod tests {
         let drained = log.take();
         assert_eq!(drained.len(), n);
         assert!(log.is_empty(), "take drains the shared buffer");
+    }
+
+    /// The trace sink surfaces the statistics: `DecisionLog::sched_stats`
+    /// carries the scheduler's cumulative counters alongside the
+    /// decisions, and every round the scheduler counts is one record.
+    #[test]
+    fn decision_log_reports_sched_stats() {
+        let mut cfg = quick_cfg();
+        cfg.n_data = 24;
+        cfg.traffic.mean_burst_bits = 20_000.0;
+        cfg.traffic.max_burst_bits = 60_000.0;
+        cfg.traffic.mean_reading_s = 0.4;
+        let log = DecisionLog::new();
+        let mut sim = Simulation::new(cfg);
+        sim.attach_trace(Box::new(log.clone()));
+        for _ in 0..200 {
+            sim.step_frame();
+        }
+        let via_log = log.sched_stats();
+        assert_eq!(via_log, sim.sched_stats(), "log mirrors the scheduler");
+        assert!(via_log.rounds > 0, "busy scenario must schedule");
+        assert!(via_log.bb_nodes > 0, "JABA-SD runs branch and bound");
+        assert_eq!(
+            via_log.rounds,
+            log.len() as u64,
+            "one decision record per scheduling round"
+        );
     }
 }

@@ -9,7 +9,7 @@
 //! `cargo bench`; this binary exists so the whole evaluation can be
 //! regenerated in one run and diffed against EXPERIMENTS.md.
 
-use wcdma::admission::Policy;
+use wcdma::admission::{AdmissionPolicy, BoxedPolicy, Fcfs, JabaSd};
 use wcdma::mac::LinkDir;
 use wcdma::math::db_to_lin;
 use wcdma::phy::{mode_throughput, BerModel, FixedPhy, Vtaoc, NUM_MODES};
@@ -30,7 +30,7 @@ fn base() -> SimConfig {
     c
 }
 
-fn policies() -> Vec<(&'static str, Policy)> {
+fn policies() -> Vec<(&'static str, BoxedPolicy)> {
     SimConfig::comparison_policies()
 }
 
@@ -169,13 +169,8 @@ fn main() {
     // ---- E5 ----
     banner("E5", "PHY x policy ablation");
     let pols = vec![
-        ("jaba-sd-j2", Policy::jaba_sd_default()),
-        (
-            "fcfs",
-            Policy::Fcfs {
-                max_concurrent: None,
-            },
-        ),
+        ("jaba-sd-j2", JabaSd::default_j2().into_boxed()),
+        ("fcfs", Fcfs::unlimited().into_boxed()),
     ];
     let rows = phy_ablation(&base(), LinkDir::Forward, &[32], &pols, 2);
     let mut t = Table::new(&["phy", "policy", "mean delay [s]", "cell tput [kbps]"]);

@@ -1,94 +1,19 @@
-//! Admission-policy API redesign acceptance tests.
+//! Admission-policy API acceptance tests.
 //!
-//! * **Golden bit-identity** — the trait-based JabaSd/Fcfs/EqualShare
-//!   (resolved through the registry, the new path) must reproduce the
-//!   deprecated enum shim's grants *frame for frame* on the 12-cell
-//!   paper-eval matrix with the campaign's own replication seeds.
 //! * **Open registry end-to-end** — the two adaptive-CAC additions
 //!   (weighted fair share, threshold reservation) run through a TOML
 //!   policy axis exactly the way a user would write one.
 //! * **Constructor hygiene** — `Fcfs { max_concurrent: Some(0) }` is an
 //!   error, not a scheduler that silently never grants.
 
-use wcdma::admission::{BoxedPolicy, Fcfs, Policy, PolicyRegistry};
-use wcdma::sim::campaign::{builtin, run_spec, ScenarioSpec};
-use wcdma::sim::trace::run_with_trace;
+use wcdma::admission::{Fcfs, PolicyRegistry};
+use wcdma::sim::campaign::{run_spec, ScenarioSpec};
 use wcdma::sim::SimConfig;
-
-/// The paper-eval acceptance matrix (3 mixes × 2 speeds × 2 policies),
-/// shrunk to a few simulated seconds per cell.
-fn paper_eval_quick() -> ScenarioSpec {
-    let mut spec = builtin("paper-eval").expect("built-in campaign");
-    spec.duration_s = 4.0;
-    spec.warmup_s = 1.0;
-    spec.replications = 1;
-    spec
-}
-
-/// Maps a paper-eval registry name to its deprecated-enum equivalent — the
-/// pre-redesign construction path the golden test compares against.
-fn enum_equivalent(name: &str) -> Policy {
-    SimConfig::comparison_policies()
-        .into_iter()
-        .find(|(n, _)| *n == name)
-        .map(|(_, p)| p)
-        .unwrap_or_else(|| panic!("paper-eval policy {name:?} must be in the legacy enum table"))
-}
-
-#[test]
-fn trait_policies_are_bit_identical_to_the_enum_shim_on_paper_eval() {
-    let spec = paper_eval_quick();
-    let scenarios = spec.expand().expect("valid spec");
-    assert_eq!(scenarios.len(), 12, "the full acceptance matrix");
-    for sc in scenarios {
-        let policy_name = sc
-            .axes
-            .iter()
-            .find(|(k, _)| k == "policy")
-            .map(|(_, v)| v.clone())
-            .expect("policy axis present");
-        // Replication-0 seed, exactly as run_campaign derives it.
-        let seed = wcdma::math::mix_seed(sc.cfg.seed, 1);
-        // New path: the registry-resolved trait object (already in cfg).
-        let via_registry = sc.cfg.with_seed(seed);
-        // Old path: the deprecated enum, converted through the shim the
-        // way every pre-redesign call site did.
-        let via_enum = sc
-            .cfg
-            .with_seed(seed)
-            .with_policy(enum_equivalent(&policy_name));
-
-        let (report_new, trace_new) = run_with_trace(via_registry);
-        let (report_old, trace_old) = run_with_trace(via_enum);
-        assert_eq!(
-            report_new, report_old,
-            "{}: trait-based policy diverged from the enum scheduler",
-            sc.label
-        );
-        assert_eq!(
-            trace_new.len(),
-            trace_old.len(),
-            "{}: different number of scheduling rounds",
-            sc.label
-        );
-        // Frame-for-frame: same users, same grants, same δβ̄, same
-        // objective value, same slack — the full decision, bit-identical.
-        for (a, b) in trace_new.iter().zip(&trace_old) {
-            assert_eq!(a, b, "{}: decision diverged at t = {}", sc.label, a.t_s);
-        }
-        assert!(
-            !trace_new.is_empty(),
-            "{}: a 4 s web-traffic cell must schedule at least once",
-            sc.label
-        );
-    }
-}
 
 #[test]
 fn new_registry_policies_run_end_to_end_from_a_toml_policy_axis() {
     // A campaign file the way a user would write one, naming both
-    // adaptive-CAC additions (one with an explicit parameter) — policies
-    // the deprecated enum cannot express.
+    // adaptive-CAC additions (one with an explicit parameter).
     let text = "\
 name = \"adaptive-cac\"
 description = \"registry-only policies end-to-end\"
@@ -136,14 +61,6 @@ fn fcfs_zero_cap_regression() {
         err.contains("fcfs") && err.contains("max_concurrent"),
         "{err}"
     );
-    // Enum-shim path has no Result channel: conversion fails loudly
-    // instead of silently denying every request forever.
-    let outcome = std::panic::catch_unwind(|| {
-        BoxedPolicy::from(Policy::Fcfs {
-            max_concurrent: Some(0),
-        })
-    });
-    assert!(outcome.is_err(), "enum shim must reject Some(0) loudly");
     // Valid caps still construct.
     assert!(Fcfs::new(Some(1)).is_ok() && Fcfs::new(None).is_ok());
 }
